@@ -12,7 +12,6 @@ use tpgnn_bench::timing::{black_box, Suite};
 use tpgnn_core::{GraphClassifier, TpGnn, TpGnnConfig};
 use tpgnn_data::DatasetKind;
 use tpgnn_eval::{run_cells, CellSpec, ExperimentConfig};
-use tpgnn_tensor::{matmul_into, Tensor};
 
 /// Benchmark `f` under 1 thread and under `width` threads, and annotate the
 /// suite with `label_speedup` = median(1 thread) / median(width threads).
@@ -62,16 +61,6 @@ fn main() {
     bench_pair(&mut suite, "predict_batch", width, || {
         let mut batch = graphs.clone();
         black_box(model.predict_proba_batch(&mut batch));
-    });
-
-    // Row-parallel matmul above the size threshold (256³ = 16.8M flops).
-    let n = 256;
-    let a = Tensor::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f32 * 0.1 - 0.6);
-    let b = Tensor::from_fn(n, n, |i, j| ((i * 7 + j * 29) % 11) as f32 * 0.1 - 0.5);
-    let mut out = Tensor::zeros(n, n);
-    bench_pair(&mut suite, "matmul_256", width, || {
-        matmul_into(black_box(&a), black_box(&b), &mut out, false);
-        black_box(&out);
     });
 
     suite.finish();

@@ -1,7 +1,7 @@
 //! Degradation sweep: TP-GNN classification quality as the streaming
 //! ingestion path is fed increasingly corrupted feeds
-//! (`FaultPlan::mixed` at each rate). Companion to `chaos_smoke`: where
-//! the smoke asserts the ingestion *accounting* is exact, this sweep shows
+//! (`FaultPlan::mixed` at each rate). Companion to `tests/chaos.rs`: where
+//! the tests assert the ingestion *accounting* is exact, this sweep shows
 //! what the surviving (post-quarantine) data is still worth for
 //! classification.
 //!

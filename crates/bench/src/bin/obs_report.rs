@@ -9,8 +9,8 @@
 //!              [--sidecar <metrics.json>] [--journal <dir>]
 //!              [--session <id>] [--run <name> [--dir <results>]]
 //!
-//! `--run smoke` is shorthand for `--trace <dir>/trace-smoke.jsonl
-//! --live <dir>/live-smoke.jsonl --sidecar <dir>/metrics-smoke.json`
+//! `--run <name>` is shorthand for `--trace <dir>/trace-<name>.jsonl
+//! --live <dir>/live-<name>.jsonl --sidecar <dir>/metrics-<name>.json`
 //! (`--dir` defaults to `results`). `--session` requires `--journal`.
 //! Exit codes: 0 = report printed; 1 = bad arguments or unreadable input.
 

@@ -17,8 +17,8 @@
 //! * [`json`] — a minimal JSON value type, writer, and parser shared by the
 //!   sinks and the reader,
 //! * [`reader`] — a snapshot reader that parses traces back for tests and
-//!   the CI smoke check (strict and lossy variants — a live trace file can
-//!   end mid-line),
+//!   `obs_report` (strict and lossy variants — a live trace file can end
+//!   mid-line),
 //! * [`snapshot`] — live telemetry: windowed metrics deltas appended as a
 //!   JSONL time series plus a Prometheus-style exposition file atomically
 //!   replaced each tick, driven by an explicit writer or a ticker thread,

@@ -1,6 +1,6 @@
 //! Snapshot reader for JSONL traces written by [`crate::trace`].
 //!
-//! Used by tests and the CI smoke check to assert that a trace round-trips:
+//! Used by the traced tests to assert that a trace round-trips:
 //! every line must parse and carry the fields the schema promises.
 
 use std::path::Path;

@@ -26,7 +26,7 @@
 //! records in its ledger is observed exactly once by the retry layer (or,
 //! for silent read corruption, counted by the injector itself at flip
 //! time), so `IoFaultLedger` ↔ `io.fault.*` reconciliation is exact — the
-//! `storage_chaos` smoke bin's core assertion.
+//! core assertion of the root `tests/storage_faults.rs`.
 //!
 //! Determinism: the injection schedule is a pure function of the plan seed
 //! and the per-op counter. Ops whose file name does not match the plan's

@@ -279,39 +279,6 @@ where
     out
 }
 
-/// Run `f(chunk_idx, chunk)` over contiguous `chunk_len`-sized pieces of
-/// `data`, one scoped worker per chunk (callers size `chunk_len` so the
-/// chunk count ≈ pool width). The row-parallel matmul kernels use this to
-/// hand disjoint output-row ranges to workers — the per-element arithmetic
-/// inside each chunk is the sequential kernel, so results are
-/// bitwise-identical to a single-threaded pass.
-///
-/// Falls back to an inline loop when sequential execution is forced.
-pub fn scoped_chunks<T, F>(data: &mut [T], chunk_len: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    assert!(chunk_len > 0, "scoped_chunks requires a positive chunk length");
-    let num_chunks = data.len().div_ceil(chunk_len.max(1));
-    if effective_width(num_chunks) <= 1 {
-        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(idx, chunk);
-        }
-        return;
-    }
-    pool_tasks().add(num_chunks as u64);
-    std::thread::scope(|scope| {
-        for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                IN_WORKER.with(|w| w.set(true));
-                f(idx, chunk);
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

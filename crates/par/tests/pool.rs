@@ -4,7 +4,6 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -147,23 +146,6 @@ fn map_mut_covers_all_items_in_order() {
     });
     assert_eq!(items, (100u64..137).collect::<Vec<_>>());
     assert_eq!(out, (0u64..37).map(|i| (i, i + 100)).collect::<Vec<_>>());
-}
-
-/// `scoped_chunks` hands out disjoint chunks exactly once, in any order.
-#[test]
-fn scoped_chunks_partitions_exactly() {
-    let mut data: Vec<usize> = vec![0; 23];
-    let seen = Mutex::new(HashSet::new());
-    par::with_thread_override(4, || {
-        par::scoped_chunks(&mut data, 5, |idx, chunk| {
-            assert!(seen.lock().unwrap().insert(idx), "chunk {idx} visited twice");
-            for v in chunk.iter_mut() {
-                *v += idx + 1;
-            }
-        });
-    });
-    assert_eq!(seen.lock().unwrap().len(), 5);
-    assert!(data.iter().all(|&v| v > 0), "every element touched exactly once");
 }
 
 /// Task seeds depend on (base, index) only — never on scheduling — so the

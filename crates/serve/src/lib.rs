@@ -312,7 +312,8 @@ pub(crate) enum Tomb {
 pub(crate) struct SessionEntry {
     pub(crate) builder: CtdnBuilder,
     pub(crate) state: SessionState,
-    /// Max raw event time offered to this session (watermark comparisons).
+    /// Max raw event time offered to this session, malformed times counted
+    /// at the stream clock (watermark comparisons).
     pub(crate) last_seen: f64,
     /// Released-edge count at which the next early warning fires.
     pub(crate) next_warn: usize,
@@ -396,6 +397,7 @@ impl Shard {
         model: &M,
         cfg: &ServeConfig,
         vfs: &dyn Vfs,
+        clock: f64,
         watermark: f64,
         batch_idx: usize,
         early_enabled: bool,
@@ -501,9 +503,11 @@ impl Shard {
             };
             let t0 = measure.then(Instant::now);
             entry.last_active_batch = batch_idx;
-            if ev.time.is_finite() {
-                entry.last_seen = entry.last_seen.max(ev.time);
-            }
+            // A malformed time (NaN, ±∞, ≤ 0) is still activity: it counts
+            // at the stream clock, or a session whose first arrival is
+            // malformed would close this batch and drop its valid events.
+            let seen = if ev.time.is_finite() && ev.time > 0.0 { ev.time } else { clock };
+            entry.last_seen = entry.last_seen.max(seen);
             entry.builder.push(ev);
             Self::advance(tape, model, entry);
             if cfg.early_warning_every > 0 {
@@ -834,6 +838,7 @@ impl<'m, M: IncrementalScorer + Sync> SessionServer<'m, M> {
 
         let watermark =
             if closing { f64::INFINITY } else { self.global_max - self.cfg.session_gap };
+        let clock = self.global_max;
         let model = self.model;
         let cfg = &self.cfg;
         let early_enabled = !plan.suspend_early;
@@ -845,6 +850,7 @@ impl<'m, M: IncrementalScorer + Sync> SessionServer<'m, M> {
                 model,
                 cfg,
                 &*shard_vfs,
+                clock,
                 watermark,
                 batch_idx,
                 early_enabled,
@@ -1279,6 +1285,32 @@ mod tests {
         assert_eq!(server.stats().final_scores, 2);
         assert_eq!(server.stats().opened, 2);
         assert_eq!(server.stats().closed, 2);
+    }
+
+    #[test]
+    fn malformed_first_arrival_does_not_close_its_session() {
+        let model = TpGnn::new(TpGnnConfig::sum(3).with_seed(4));
+        let cfg = ServeConfig { session_gap: 5.0, ..ServeConfig::default() };
+        let mut server = SessionServer::new(&model, cfg).unwrap();
+        for sid in 1..=3 {
+            server.register(sid, feats(4));
+        }
+        // Session 2 moves the stream clock to t=10 (watermark 5); sessions
+        // 1 and 3 then open on a NaN and a negative time, both quarantined.
+        assert!(server.ingest(&[ev(2, 0, 1, 10.0)]).unwrap().is_empty());
+        let r = server.ingest(&[ev(1, 0, 1, f64::NAN), ev(3, 0, 1, -1.0)]).unwrap();
+        assert!(r.is_empty(), "a malformed first arrival closed its session: {r:?}");
+        assert_eq!(server.resident(), 3);
+
+        // Their later valid events are absorbed, not dropped as closed.
+        server.ingest(&[ev(1, 1, 2, 11.0), ev(3, 1, 2, 11.5)]).unwrap();
+        assert_eq!(server.stats().dropped_closed, 0);
+        let fin = server.close_all().unwrap();
+        for sid in [1, 3] {
+            let rec = fin.iter().find(|r| r.session == sid).unwrap();
+            let stats = rec.stats.as_ref().unwrap();
+            assert_eq!((stats.received, stats.released, stats.quarantined), (2, 1, 1));
+        }
     }
 
     #[test]

@@ -395,22 +395,6 @@ impl Tensor {
     }
 }
 
-/// Minimum multiply-add count before a matmul kernel fans out over rows.
-///
-/// Below this, the sequential loop wins outright (the models' 32-wide
-/// matmuls are ~64k flops) and the kernel never reads the pool width — the
-/// hot sequential path pays nothing for the parallel capability. Above it,
-/// output rows are partitioned into contiguous chunks, one scoped worker
-/// per chunk; each element's accumulation order (k ascending, zero terms
-/// skipped) is exactly the sequential kernel's, so results are
-/// bitwise-identical at any thread count.
-const PAR_FLOPS_MIN: usize = 1 << 20;
-
-/// Row range partition for the parallel kernels: ≈ one chunk per worker.
-fn par_rows_per_chunk(rows: usize) -> usize {
-    rows.div_ceil(tpgnn_par::configured_threads()).max(1)
-}
-
 /// `out += a × b` (or `out = a × b` when `accumulate` is false).
 ///
 /// Shared kernel for forward matmul and the backward-pass products.
@@ -424,7 +408,7 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor, accumulate: bool) {
     }
     // Row-major ikj loop per output row: scale-and-accumulate rows of `b`,
     // skipping zero `a` entries (one-hot rows are common in the models).
-    let row_kernel = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.data.chunks_mut(n).enumerate() {
         if !accumulate {
             out_row.iter_mut().for_each(|x| *x = 0.0);
         }
@@ -438,19 +422,6 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor, accumulate: bool) {
                 *o += aik * bkj;
             }
         }
-    };
-    if a.rows * a.cols * n >= PAR_FLOPS_MIN {
-        let rows_per_chunk = par_rows_per_chunk(a.rows);
-        tpgnn_par::scoped_chunks(&mut out.data, rows_per_chunk * n, |chunk_idx, chunk| {
-            let base = chunk_idx * rows_per_chunk;
-            for (off, out_row) in chunk.chunks_mut(n).enumerate() {
-                row_kernel(base + off, out_row);
-            }
-        });
-    } else {
-        for (i, out_row) in out.data.chunks_mut(n).enumerate() {
-            row_kernel(i, out_row);
-        }
     }
 }
 
@@ -461,30 +432,6 @@ pub fn matmul_at_b_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     debug_assert_eq!(out.cols, b.cols);
     let n = b.cols;
     if n == 0 || a.cols == 0 {
-        return;
-    }
-    if a.rows * a.cols * n >= PAR_FLOPS_MIN {
-        // Output-row-major variant: out[i] accumulates a[k][i] * b[k] with k
-        // ascending and zero a-entries skipped — the same per-element term
-        // sequence as the k-outer loop below, just grouped by output row so
-        // rows can go to different workers.
-        let rows_per_chunk = par_rows_per_chunk(a.cols);
-        tpgnn_par::scoped_chunks(&mut out.data, rows_per_chunk * n, |chunk_idx, chunk| {
-            let base = chunk_idx * rows_per_chunk;
-            for (off, out_row) in chunk.chunks_mut(n).enumerate() {
-                let i = base + off;
-                for k in 0..a.rows {
-                    let aki = a.data[k * a.cols + i];
-                    if aki == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b.data[k * n..(k + 1) * n];
-                    for (o, &bkj) in out_row.iter_mut().zip(b_row) {
-                        *o += aki * bkj;
-                    }
-                }
-            }
-        });
         return;
     }
     for k in 0..a.rows {
@@ -512,7 +459,7 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         return;
     }
     // Independent dot products per output element, already output-row-major.
-    let row_kernel = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.data.chunks_mut(n).enumerate() {
         let a_row = &a.data[i * a.cols..(i + 1) * a.cols];
         for (j, o) in out_row.iter_mut().enumerate() {
             let b_row = &b.data[j * b.cols..(j + 1) * b.cols];
@@ -521,19 +468,6 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
                 acc += x * y;
             }
             *o += acc;
-        }
-    };
-    if a.rows * a.cols * n >= PAR_FLOPS_MIN {
-        let rows_per_chunk = par_rows_per_chunk(a.rows);
-        tpgnn_par::scoped_chunks(&mut out.data, rows_per_chunk * n, |chunk_idx, chunk| {
-            let base = chunk_idx * rows_per_chunk;
-            for (off, out_row) in chunk.chunks_mut(n).enumerate() {
-                row_kernel(base + off, out_row);
-            }
-        });
-    } else {
-        for (i, out_row) in out.data.chunks_mut(n).enumerate() {
-            row_kernel(i, out_row);
         }
     }
 }
@@ -709,67 +643,5 @@ mod tests {
         let a = Tensor::zeros(0, 3);
         assert_eq!(a.mean_rows().data(), &[0.0, 0.0, 0.0]);
         assert_eq!(a.mean(), 0.0);
-    }
-
-    /// A matrix big enough to cross `PAR_FLOPS_MIN` (128³ = 2M mul-adds)
-    /// with irrational-ish entries and scattered exact zeros, so the
-    /// zero-skip path is exercised too.
-    fn big(rows: usize, cols: usize, salt: u64) -> Tensor {
-        Tensor::from_fn(rows, cols, |i, j| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add((j as u64).wrapping_mul(0x85EB_CA6B))
-                .wrapping_add(salt);
-            if h.is_multiple_of(17) {
-                0.0
-            } else {
-                ((h % 1000) as f32 - 500.0) * 1e-3
-            }
-        })
-    }
-
-    #[test]
-    fn parallel_matmul_kernels_are_bitwise_identical_across_widths() {
-        let a = big(128, 128, 1);
-        let b = big(128, 128, 2);
-        assert!(a.rows * a.cols * b.cols >= PAR_FLOPS_MIN, "test must cross the threshold");
-
-        let run = |threads: usize| {
-            tpgnn_par::with_thread_override(threads, || {
-                let mut m = Tensor::zeros(128, 128);
-                matmul_into(&a, &b, &mut m, false);
-                let mut atb = Tensor::zeros(128, 128);
-                matmul_at_b_into(&a, &b, &mut atb);
-                let mut abt = Tensor::zeros(128, 128);
-                matmul_a_bt_into(&a, &b, &mut abt);
-                (m, atb, abt)
-            })
-        };
-        let (m1, atb1, abt1) = run(1);
-        let (m4, atb4, abt4) = run(4);
-        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&m1), bits(&m4));
-        assert_eq!(bits(&atb1), bits(&atb4));
-        assert_eq!(bits(&abt1), bits(&abt4));
-    }
-
-    #[test]
-    fn parallel_fused_kernels_match_naive_transposes() {
-        let a = big(96, 120, 3);
-        let b = big(96, 120, 4);
-        tpgnn_par::with_thread_override(3, || {
-            let mut atb = Tensor::zeros(120, 120);
-            matmul_at_b_into(&a, &b, &mut atb);
-            let naive = a.transpose().matmul(&b);
-            for (x, y) in atb.data().iter().zip(naive.data()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-            let mut abt = Tensor::zeros(96, 96);
-            matmul_a_bt_into(&a, &b, &mut abt);
-            let naive2 = a.matmul(&b.transpose());
-            for (x, y) in abt.data().iter().zip(naive2.data()) {
-                assert!((x - y).abs() < 1e-4);
-            }
-        });
     }
 }

@@ -1,7 +1,8 @@
 //! Seeded-chaos acceptance tests: fault injection is a pure function of its
 //! seed (bitwise-identical quarantine logs and training losses across
-//! reruns), and the zero-fault streaming path is indistinguishable from the
-//! direct loader all the way through training.
+//! reruns), every injector's rejections reconcile exactly with its ledger,
+//! and the zero-fault streaming path is indistinguishable from the direct
+//! loader all the way through training.
 
 use tpgnn_core::{train_guarded, GuardConfig, TpGnn, TpGnnConfig, TrainConfig};
 use tpgnn_data::chaos::{events_of, inject, rebuild_dataset, FaultPlan};
@@ -146,4 +147,70 @@ fn zero_fault_stream_matches_direct_loader_through_training() {
         loss_bits(&rebuilt),
         "streamed ingestion must be invisible to training"
     );
+}
+
+/// Every injector type, alone where its quarantine signature is exactly
+/// predictable and combined once, under a seeded schedule: the reorder
+/// buffer stays within its bound, ingestion accounting closes, and every
+/// rejection is typed and reconciles exactly with the injector's ledger.
+#[test]
+fn every_injector_reconciles_exactly_within_the_buffer_bound() {
+    use tpgnn_graph::RejectKind;
+
+    let schedules = [
+        ("zero-fault", FaultPlan::clean()),
+        ("shuffle", FaultPlan { shuffle_window: 8, shuffle_prob: 1.0, ..FaultPlan::default() }),
+        ("duplicate", FaultPlan { dup_rate: 0.2, ..FaultPlan::default() }),
+        ("corrupt", FaultPlan { corrupt_rate: 0.15, ..FaultPlan::default() }),
+        ("burst-drop", FaultPlan { drop_rate: 0.1, burst_len: 3, ..FaultPlan::default() }),
+        ("delay", FaultPlan { delay_rate: 0.1, delay_margin: 5.0, ..FaultPlan::default() }),
+        (
+            "skew-declared",
+            FaultPlan { num_origins: 3, skew: 40.0, declare_skew: true, ..FaultPlan::default() },
+        ),
+        (
+            "skew-undeclared",
+            FaultPlan { num_origins: 3, skew: 40.0, declare_skew: false, ..FaultPlan::default() },
+        ),
+        ("regression", FaultPlan { regress_rate: 0.1, regression: 5.0, ..FaultPlan::default() }),
+        ("combined", FaultPlan::mixed(0.2)),
+    ];
+
+    let clean = DatasetKind::ForumJava.generate(12, 42);
+    for (i, (name, plan)) in schedules.into_iter().enumerate() {
+        let (_, report) = rebuild_dataset(&clean, &plan, 1000 + i as u64);
+        let (s, l, c) = (&report.stats, &report.ledger, &report.counts);
+        let cap = plan.stream_config().reorder_capacity;
+        assert!(
+            cap == 0 || s.max_buffer_depth <= cap,
+            "{name}: buffer depth {} exceeded capacity {cap}",
+            s.max_buffer_depth
+        );
+        assert_eq!(s.received, s.released + s.quarantined, "{name}: accounting leak");
+        assert_eq!(s.received, l.emitted, "{name}: builder saw != injector emitted");
+
+        // The exact quarantine signature of each schedule's injectors.
+        let want: Vec<(RejectKind, usize)> = match name {
+            "duplicate" => vec![(RejectKind::Duplicate, l.duplicated)],
+            "corrupt" => vec![(RejectKind::Malformed, l.corrupted)],
+            "delay" => vec![(RejectKind::LateEvent, l.delayed)],
+            "regression" => vec![(RejectKind::NonMonotonicClock, l.regressed)],
+            "combined" => {
+                vec![(RejectKind::Duplicate, l.duplicated), (RejectKind::Malformed, l.corrupted)]
+            }
+            _ => Vec::new(),
+        };
+        for &(kind, n) in &want {
+            assert_eq!(c.count(kind), n, "{name}: {} ({})", kind.label(), c.summary());
+        }
+        let typed: usize = want.iter().map(|&(_, n)| n).sum();
+        assert_eq!(c.total(), typed, "{name}: untyped rejections present: {}", c.summary());
+        if want.is_empty() {
+            assert_eq!(
+                s.released,
+                l.input_events - l.dropped,
+                "{name}: released != surviving input"
+            );
+        }
+    }
 }

@@ -3,6 +3,8 @@
 //! panicking; a permanently poisoned sample is abandoned gracefully; and
 //! corrupt dataset files are line-numbered `Err`s, never panics.
 
+use std::sync::Mutex;
+
 use tpgnn_core::{
     train_guarded, DivergenceReason, GraphClassifier, GuardConfig, TpGnn, TpGnnConfig, TrainConfig,
 };
@@ -11,6 +13,11 @@ use tpgnn_data::{io, negative};
 use tpgnn_graph::Ctdn;
 use tpgnn_rng::rngs::StdRng;
 use tpgnn_rng::SeedableRng;
+
+/// Held by the two tests that install the process-global trace sink: a
+/// second `trace::init_to` replaces the first test's sink, and either
+/// test's `trace::finish` closes the other's.
+static TRACE_SINK: Mutex<()> = Mutex::new(());
 
 fn forum_java_corpus(seed: u64, sessions: usize) -> Vec<(Ctdn, f32)> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -129,8 +136,9 @@ fn injected_nan_recovers_and_training_completes() {
 fn injected_nan_rollback_is_traced_with_matching_epoch() {
     use tpgnn_obs::{reader, trace};
 
-    let path = std::env::temp_dir()
-        .join(format!("tpgnn_guardrails_trace_{}.jsonl", std::process::id()));
+    let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("tpgnn-guardrails-trace-{}", std::process::id()));
+    let path = dir.join("trace-guardrails-test.jsonl");
     trace::init_to("guardrails-test", &path);
 
     let train = forum_java_corpus(42, 4);
@@ -144,6 +152,12 @@ fn injected_nan_rollback_is_traced_with_matching_epoch() {
     model.set_learning_rate(0.01);
     let cfg = TrainConfig { epochs: 5, shuffle_ties: true, seed: 3 };
     let report = train_guarded(&mut model, &train, &cfg, &GuardConfig::default());
+    // A forced 2-wide pool puts the pool.* series in the sidecar even on a
+    // single-core host.
+    let pooled = tpgnn_par::with_thread_override(2, || {
+        tpgnn_par::map_indexed(&[10usize, 20, 30, 40], |i, &x| x + i)
+    });
+    assert_eq!(pooled, vec![10, 21, 32, 43], "pool results out of order");
     trace::finish();
 
     assert!(!report.aborted);
@@ -151,7 +165,21 @@ fn injected_nan_rollback_is_traced_with_matching_epoch() {
     let recovery = &report.recoveries[0];
 
     let records = reader::read_trace(&path).expect("trace parses back");
-    std::fs::remove_file(&path).ok();
+    let sidecar = std::fs::read_to_string(dir.join("metrics-guardrails-test.json"))
+        .expect("metrics sidecar next to the trace");
+    std::fs::remove_dir_all(&dir).ok();
+    for series in ["pool.tasks", "pool.workers", "pool.queue_depth", "pool.task_ms"] {
+        assert!(sidecar.contains(series), "metrics sidecar is missing the {series} series");
+    }
+    let of_model = |kind: &str, name: &str| {
+        records
+            .iter()
+            .filter(|r| r.kind == kind && r.name == name)
+            .filter(|r| r.field("model").and_then(|j| j.as_str()) == Some("nan-injected-traced"))
+            .count()
+    };
+    assert_eq!(of_model("span", "train.run"), 1, "one train.run span for the guarded run");
+    assert!(of_model("event", "tape.profile") > 0, "missing the tape per-op profile snapshot");
     // The rollback must surface as a `warn` event attributed to this model,
     // at the same epoch the TrainReport records.
     let rollbacks: Vec<_> = records
@@ -173,17 +201,9 @@ fn injected_nan_rollback_is_traced_with_matching_epoch() {
     );
     // The run's epoch spans bracket the rollback: epochs that completed have
     // spans, and the checkpoint events confirm accepted epochs.
-    let epoch_spans = records
-        .iter()
-        .filter(|r| r.kind == "span" && r.name == "train.epoch")
-        .filter(|r| r.field("model").and_then(|j| j.as_str()) == Some("nan-injected-traced"))
-        .count();
+    let epoch_spans = of_model("span", "train.epoch");
     assert!(epoch_spans >= cfg.epochs, "every attempt gets a span ({epoch_spans})");
-    let checkpoints = records
-        .iter()
-        .filter(|r| r.kind == "event" && r.name == "train.checkpoint")
-        .filter(|r| r.field("model").and_then(|j| j.as_str()) == Some("nan-injected-traced"))
-        .count();
+    let checkpoints = of_model("event", "train.checkpoint");
     assert_eq!(checkpoints, report.epoch_losses.len(), "one checkpoint per accepted epoch");
 }
 
@@ -236,8 +256,9 @@ impl GraphClassifier for Sleepy {
 fn epoch_time_budget_abandons_hung_training_with_timeout_trace() {
     use tpgnn_obs::{reader, trace};
 
-    let path =
-        std::env::temp_dir().join(format!("tpgnn_guard_timeout_{}.jsonl", std::process::id()));
+    let _sink = TRACE_SINK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("tpgnn-guard-timeout-{}", std::process::id()));
+    let path = dir.join("trace-guard-timeout-test.jsonl");
     trace::init_to("guard-timeout-test", &path);
 
     let train = forum_java_corpus(11, 2);
@@ -259,7 +280,7 @@ fn epoch_time_budget_abandons_hung_training_with_timeout_trace() {
     );
 
     let records = reader::read_trace(&path).expect("trace parses back");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     let timeouts: Vec<_> = records
         .iter()
         .filter(|r| r.kind == "event" && r.name == "guard.timeout")
